@@ -50,6 +50,10 @@ class GossipProtocol(Generic[T]):
     The three message kinds are public so a
     :class:`~repro.protocols.router.MessageRouter` can claim them at
     engine-install time and dispatch gossip traffic like any other kind.
+    :attr:`handlers` maps each kind to its handler in the router's
+    ``(node, message)`` signature so the router can call them directly;
+    ``node`` is unused, because per-node state is keyed by
+    ``message.recipient``.
     """
 
     def __init__(
@@ -71,6 +75,15 @@ class GossipProtocol(Generic[T]):
         self._items: dict[Hashable, T] = {}
         self._requested: dict[int, set[Hashable]] = {}
         self.stats = GossipStats()
+        #: Kind → handler, the one place the mapping lives: :meth:`handle`
+        #: looks a message up here and a router registers each entry.
+        self.handlers: dict[
+            MessageKind, Callable[[object, Message], None]
+        ] = {
+            announce_kind: self._on_announce,
+            request_kind: self._on_request,
+            item_kind: self._on_item_received,
+        }
 
     # ------------------------------------------------------------- seeding
     def node_has(self, node_id: int, item_id: Hashable) -> bool:
@@ -92,14 +105,10 @@ class GossipProtocol(Generic[T]):
     # ------------------------------------------------------------ handlers
     def handle(self, message: Message) -> bool:
         """Dispatch a gossip message; returns ``False`` when not ours."""
-        if message.kind == self.announce_kind:
-            self._on_announce(message)
-        elif message.kind == self.request_kind:
-            self._on_request(message)
-        elif message.kind == self.item_kind:
-            self._on_item_received(message)
-        else:
+        handler = self.handlers.get(message.kind)
+        if handler is None:
             return False
+        handler(None, message)
         return True
 
     def _mark_have(self, node_id: int, item_id: Hashable) -> bool:
@@ -125,7 +134,7 @@ class GossipProtocol(Generic[T]):
             for peer in peers
         )
 
-    def _on_announce(self, message: Message) -> None:
+    def _on_announce(self, node: object, message: Message) -> None:
         node_id = message.recipient
         item_id = message.payload
         if self.node_has(node_id, item_id):
@@ -146,7 +155,7 @@ class GossipProtocol(Generic[T]):
             )
         )
 
-    def _on_request(self, message: Message) -> None:
+    def _on_request(self, node: object, message: Message) -> None:
         node_id = message.recipient
         item_id = message.payload
         if not self.node_has(node_id, item_id):
@@ -163,7 +172,7 @@ class GossipProtocol(Generic[T]):
             )
         )
 
-    def _on_item_received(self, message: Message) -> None:
+    def _on_item_received(self, node: object, message: Message) -> None:
         node_id = message.recipient
         item_id, item = message.payload
         self._requested.setdefault(node_id, set()).discard(item_id)

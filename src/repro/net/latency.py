@@ -63,7 +63,11 @@ class UniformLatency(LatencyModel):
     """Per-pair delay drawn once from ``[low, high)``, then frozen.
 
     The draw is seeded from the (unordered) pair, so A→B and B→A see the
-    same delay and replays are identical without storing a matrix.
+    same delay and replays are identical.  Each pair's draw is memoized
+    the first time the pair talks, keyed by the integer the draw is
+    seeded with: equal keys give equal draws, so the memo returns exactly
+    what a fresh draw would, without reseeding an RNG per message.  The
+    memo only grows with the pairs that actually exchange messages.
     """
 
     def __init__(self, low: float = 0.02, high: float = 0.2, seed: int = 0) -> None:
@@ -72,14 +76,21 @@ class UniformLatency(LatencyModel):
         self._low = low
         self._high = high
         self._seed = seed
+        self._memo: dict[int, float] = {}
 
     def delay(self, sender: int, recipient: int) -> float:
         """See :meth:`LatencyModel.delay`."""
         if sender == recipient:
             return 0.0
-        a, b = min(sender, recipient), max(sender, recipient)
-        rng = random.Random((self._seed << 40) ^ (a << 20) ^ b)
-        return rng.uniform(self._low, self._high)
+        if sender < recipient:
+            key = (self._seed << 40) ^ (sender << 20) ^ recipient
+        else:
+            key = (self._seed << 40) ^ (recipient << 20) ^ sender
+        seconds = self._memo.get(key)
+        if seconds is None:
+            seconds = random.Random(key).uniform(self._low, self._high)
+            self._memo[key] = seconds
+        return seconds
 
 
 class CoordinateLatency(LatencyModel):

@@ -172,13 +172,14 @@ class Network:
             if copies == 0:
                 self._dropped_messages += 1
                 return
+            post = self.clock.post
             for _ in range(copies):
-                self.clock.schedule(delay + extra_delay, self._deliver, message)
+                post(delay + extra_delay, self._deliver, message)
             return
         if self._shard_router is not None:
             self._shard_router.schedule_message(delay, self._deliver, message)
             return
-        self.clock.schedule(delay, self._deliver, message)
+        self.clock.post(delay, self._deliver, message)
 
     def send_many(self, messages: Iterable[Message]) -> None:
         """Schedule a batch of messages in order.
@@ -218,12 +219,12 @@ class Network:
                     message,
                 )
             return
-        schedule = self.clock.schedule
+        post = self.clock.post
         for message in messages:
             if not online.get(message.sender, False):
                 self._dropped_messages += 1
                 continue
-            schedule(
+            post(
                 total_delay(
                     message.sender,
                     message.recipient,

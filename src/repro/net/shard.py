@@ -316,6 +316,11 @@ class ShardedClock(SimClock):
             raise SimulationError(f"cannot schedule in the past ({delay=})")
         return self.schedule_at(self.now + delay, callback, *args)
 
+    def post(self, delay: float, callback: EventCallback, *args: Any) -> None:
+        """See :meth:`SimClock.post`; routed through :meth:`schedule_at`
+        so lanes and coupled mode behave as for :meth:`schedule`."""
+        self.schedule(delay, callback, *args)
+
     def schedule_at(
         self, time: float, callback: EventCallback, *args: Any
     ) -> EventHandle:

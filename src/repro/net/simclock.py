@@ -113,6 +113,24 @@ class SimClock:
             raise SimulationError(f"cannot schedule in the past ({delay=})")
         return self.schedule_at(self._now + delay, callback, *args)
 
+    def post(self, delay: float, callback: EventCallback, *args: Any) -> None:
+        """:meth:`schedule` without the :class:`EventHandle`.
+
+        For events nobody ever cancels — every network delivery takes
+        this path, which saves one handle allocation per message.  The
+        event shares the sequence counter with :meth:`schedule`, so
+        mixed calls at equal times still run in call order.
+
+        Raises:
+            SimulationError: for negative delays.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past ({delay=})")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._heap, [self._now + delay, seq, callback, args])
+        self._live += 1
+
     def schedule_at(
         self, time: float, callback: EventCallback, *args: Any
     ) -> EventHandle:

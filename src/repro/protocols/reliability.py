@@ -199,6 +199,18 @@ class RequestTracker:
             request.resolved_at = self.clock.now
         return request
 
+    def abandon(self, request_id: int, reason: str) -> None:
+        """Give up on a request nobody can send for any more.
+
+        Stops tracking it (stale deadlines no-op) and degrades it with
+        ``reason``; unknown or finished requests are left alone.  May be
+        called from inside a request's ``send`` callback, in which case
+        no deadline is scheduled for that attempt.
+        """
+        request = self.pending.pop(request_id, None)
+        if request is not None and request.active:
+            self._degrade(request, reason)
+
     # ------------------------------------------------------------ internals
     def _attempt(self, request_id: int) -> None:
         request = self.pending.get(request_id)
@@ -213,6 +225,8 @@ class RequestTracker:
             if self._notify_retry is not None:
                 self._notify_retry(request)
         request.send(request.target, request)
+        if not request.active:
+            return  # the sender abandoned it (see :meth:`abandon`)
         self.clock.schedule(
             self.policy.timeout_for(request.attempts),
             self._on_deadline,

@@ -95,17 +95,14 @@ class MessageRouter:
     def register_gossip(
         self, protocol: "GossipProtocol", owner: str = "gossip"
     ) -> None:
-        """Claim a gossip protocol's announce/request/item kinds."""
+        """Claim a gossip protocol's announce/request/item kinds.
 
-        def handle(node: "BaseNode", message: Message) -> None:
-            protocol.handle(message)
-
-        for kind in (
-            protocol.announce_kind,
-            protocol.request_kind,
-            protocol.item_kind,
-        ):
-            self.register(kind, handle, owner=owner)
+        Each kind maps straight to the protocol's handler for it
+        (:attr:`GossipProtocol.handlers`), so a gossip delivery skips
+        :meth:`GossipProtocol.handle` and its lookup.
+        """
+        for kind, handler in protocol.handlers.items():
+            self.register(kind, handler, owner=owner)
 
     # ------------------------------------------------------------ queries
     @property

@@ -482,6 +482,24 @@ class TestAdaptiveEndurance:
         assert "## Adaptive replication" in out
         assert "## Adaptive replication" in report.read_text()
 
+    def test_cli_survives_a_departed_requesters_retry(self, capsys):
+        """Regression: in this run a read's requester leaves while its
+        retry timer is pending; the timer used to raise KeyError."""
+        from repro.cli import main
+
+        code = main(
+            [
+                "endurance",
+                "--adaptive",
+                "--nodes", "16",
+                "--groups", "2",
+                "--blocks", "12",
+                "--reads", "16",
+            ]
+        )
+        assert code == 0
+        assert "## Adaptive replication" in capsys.readouterr().out
+
 
 class TestBenchTagFilter:
     def test_filter_matches_tags_and_ids(self, capsys):

@@ -592,3 +592,27 @@ class TestRequestTracker:
         harness.tracker.advance(404)
         assert harness.tracker.resolve(404) is None
         assert harness.sends == []
+
+    def test_abandon_inside_send_schedules_no_deadline(self):
+        harness = TrackerHarness()
+
+        def send(target: int, request) -> None:
+            harness.sends.append(target)
+            harness.tracker.abandon(request.request_id, "sender-gone")
+
+        request = harness.tracker.begin(0, [5, 6], send=send)
+        assert harness.sends == [5]
+        assert request.degraded is not None
+        assert request.degraded.reason == "sender-gone"
+        assert harness.events == ["degraded"]
+        assert 0 not in harness.tracker.pending
+        assert harness.clock.pending == 0  # no deadline for the attempt
+
+    def test_abandon_ignores_unknown_and_finished_requests(self):
+        harness = TrackerHarness()
+        harness.begin(0, [5])
+        harness.tracker.resolve(0)
+        harness.tracker.abandon(0, "late")
+        harness.tracker.abandon(404, "unknown")
+        assert harness.tracker.degraded_results == []
+        assert harness.events == []

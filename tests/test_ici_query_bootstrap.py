@@ -89,6 +89,27 @@ class TestRetrieval:
         deployment.run()
         assert record.latency is None  # data unavailable in-cluster
 
+    def test_departed_requester_abandons_its_retry(self):
+        """Regression: a retry timer that fires after its requester left
+        gives the request up as degraded instead of raising KeyError."""
+        deployment, report = deployed()
+        block_hash = report.block_hashes[2]
+        requester, _ = non_holder_of(deployment, block_hash)
+        record = deployment.retrieve_block(requester, block_hash)
+        # The crash drops the holder's answer; the repair then removes
+        # the requester before attempt 1's deadline fires.
+        departure = deployment.repair_after_crash(requester)
+        deployment.run()
+        assert departure.completed_at is not None
+        assert requester not in deployment.nodes
+        assert record.completed_at is None
+        assert record.degraded
+        tracker = deployment.query.tracker
+        assert record.request_id not in tracker.pending
+        [result] = tracker.degraded_results
+        assert result.request_id == record.request_id
+        assert result.reason == "requester-departed"
+
     def test_mean_query_latency_metric(self):
         deployment, report = deployed()
         requester, _ = non_holder_of(deployment, report.block_hashes[0])

@@ -19,7 +19,10 @@ from repro.baselines.rapidchain import RapidChainDeployment
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ProtocolError
-from repro.net.message import MessageKind, sized_message
+from repro.net.gossip import GossipProtocol
+from repro.net.message import Message, MessageKind, sized_message
+from repro.net.network import Network
+from repro.net.simclock import SimClock
 from repro.protocols.router import MessageRouter
 from tests.conftest import TEST_LIMITS
 
@@ -126,3 +129,64 @@ class TestDispatchFailures:
                 owner="second",
             )
         assert router.owner_of(MessageKind.CONTROL) == "first"
+
+
+class TestGossipRegistration:
+    """``register_gossip`` maps each kind straight to its handler."""
+
+    def gossip(self, calls: list[tuple[str, Message]]) -> GossipProtocol:
+        class SpyGossip(GossipProtocol):
+            """Records which per-kind handler each delivery reaches."""
+
+            def _on_announce(self, node, message):
+                calls.append(("_on_announce", message))
+
+            def _on_request(self, node, message):
+                calls.append(("_on_request", message))
+
+            def _on_item_received(self, node, message):
+                calls.append(("_on_item_received", message))
+
+        return SpyGossip(
+            network=Network(clock=SimClock()),
+            announce_kind=MessageKind.TX_ANNOUNCE,
+            request_kind=MessageKind.TX_REQUEST,
+            item_kind=MessageKind.TX_BODY,
+            item_size=lambda item: 80,
+            on_item=lambda node, item: None,
+        )
+
+    def test_claims_all_three_kinds(self):
+        router = MessageRouter()
+        router.register_gossip(self.gossip([]), owner="tx-gossip")
+        kinds = (
+            MessageKind.TX_ANNOUNCE,
+            MessageKind.TX_REQUEST,
+            MessageKind.TX_BODY,
+        )
+        assert router.handled_kinds == frozenset(kinds)
+        assert {router.owner_of(kind) for kind in kinds} == {"tx-gossip"}
+
+    def test_each_kind_reaches_its_handler(self):
+        calls: list[tuple[str, Message]] = []
+        router = MessageRouter()
+        router.register_gossip(self.gossip(calls))
+        node = type("N", (), {"node_id": 1})()
+        expected = []
+        for kind, name in (
+            (MessageKind.TX_REQUEST, "_on_request"),
+            (MessageKind.TX_BODY, "_on_item_received"),
+            (MessageKind.TX_ANNOUNCE, "_on_announce"),
+        ):
+            message = sized_message(kind, 0, 1, b"id", 8)
+            router.dispatch(node, message)
+            expected.append((name, message))
+        assert calls == expected
+
+    def test_unregistered_kind_still_raises(self):
+        router = MessageRouter()
+        router.register_gossip(self.gossip([]))
+        node = type("N", (), {"node_id": 1})()
+        rogue = sized_message(MessageKind.BLOCK_ANNOUNCE, 0, 1, None, 8)
+        with pytest.raises(ProtocolError, match="block_announce"):
+            router.dispatch(node, rogue)

@@ -296,3 +296,73 @@ class TestDeploymentFeed:
         deployment.run()
         assert clock.shard_map.shard_of(victim) == GLOBAL_SHARD
         assert victim not in deployment.nodes
+
+
+def lanes_holding(clock: ShardedClock, callback) -> list[int]:
+    """Shards whose lane heap holds an entry for ``callback``."""
+    return sorted(
+        shard
+        for shard, lane in clock._lanes.items()
+        if any(entry[2] is callback for entry in lane.heap)
+    )
+
+
+class TestPost:
+    """``post`` lands wherever ``schedule_at`` would put the event."""
+
+    def test_outside_a_drain_lands_in_the_global_lane(self):
+        clock = ShardedClock()
+
+        def via_post():
+            pass
+
+        def via_schedule_at():
+            pass
+
+        assert clock.post(1.0, via_post) is None
+        clock.schedule_at(1.0, via_schedule_at)
+        assert lanes_holding(clock, via_post) == [GLOBAL_SHARD]
+        assert lanes_holding(clock, via_schedule_at) == [GLOBAL_SHARD]
+        assert clock.pending == 2
+
+    def test_inside_a_lane_lands_in_that_lane(self):
+        network, clock = sharded_network()
+        landed: dict[str, list[int]] = {}
+
+        def via_post():
+            pass
+
+        def via_schedule_at():
+            pass
+
+        class Scheduler:
+            def handle_message(self, message):
+                clock.post(5.0, via_post)
+                clock.schedule_at(clock.now + 5.0, via_schedule_at)
+                landed["post"] = lanes_holding(clock, via_post)
+                landed["schedule_at"] = lanes_holding(clock, via_schedule_at)
+
+        network.register(0, Scheduler())
+        network.register(1, Recorder(network))
+        clock.shard_map.assign(0, 1)
+        clock.shard_map.assign(1, 2)
+        ping(network, 1, 0)
+        network.run()
+        assert landed == {"post": [1], "schedule_at": [1]}
+        assert not clock.coupled
+        assert clock.pending == 0
+
+    def test_coupled_clock_uses_the_serial_heap(self):
+        clock = ShardedClock()
+        clock.set_coupled()
+        order: list[str] = []
+        clock.schedule_at(1.0, order.append, "schedule_at")
+        clock.post(1.0, order.append, "post")
+        assert all(not lane.heap for lane in clock._lanes.values())
+        assert len(clock._heap) == 2
+        clock.run()
+        assert order == ["schedule_at", "post"]
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            ShardedClock().post(-0.1, lambda: None)

@@ -155,3 +155,48 @@ class TestRunawayProtection:
         clock.schedule(0.1, feedback)
         with pytest.raises(SimulationError, match="budget"):
             clock.run()
+
+
+class TestPost:
+    """``post``: ``schedule`` without a cancellation handle."""
+
+    def test_returns_no_handle(self):
+        assert SimClock().post(1.0, lambda: None) is None
+
+    def test_shares_sequence_with_schedule(self):
+        clock = SimClock()
+        order: list[str] = []
+        clock.schedule(1.0, order.append, "schedule-0")
+        clock.post(1.0, order.append, "post-1")
+        clock.schedule_at(1.0, order.append, "schedule-2")
+        clock.post(1.0, order.append, "post-3")
+        clock.post(0.5, order.append, "early")
+        clock.run()
+        assert order == [
+            "early", "schedule-0", "post-1", "schedule-2", "post-3"
+        ]
+
+    def test_negative_delay_rejected(self):
+        clock = SimClock()
+        with pytest.raises(SimulationError):
+            clock.post(-0.1, lambda: None)
+        assert clock.pending == 0
+
+    def test_updates_pending(self):
+        clock = SimClock()
+        clock.post(1.0, lambda: None)
+        clock.post(2.0, lambda: None)
+        assert clock.pending == 2
+        clock.step()
+        assert clock.pending == 1
+        clock.run()
+        assert clock.pending == 0
+
+    def test_delay_is_relative_to_now(self):
+        clock = SimClock()
+        seen: list[float] = []
+        clock.schedule(
+            1.0, lambda: clock.post(0.5, lambda: seen.append(clock.now))
+        )
+        clock.run()
+        assert seen == [1.5]
