@@ -752,6 +752,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_sink(args: argparse.Namespace):
+    """A recording tracer when ``--trace`` asks for an export, else None."""
+    if not args.trace:
+        return None
+    from repro.obs.tracer import Tracer
+
+    return Tracer()
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``chaos``: one seeded fault-injection run with a markdown audit."""
     from repro.analysis.report import render_chaos_summary
@@ -776,7 +785,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
     )
-    outcome = run_chaos(config)
+    outcome = run_chaos(config, tracer=_trace_sink(args))
     summary = render_chaos_summary(outcome)
     print(summary, end="")
     if args.report:
@@ -784,7 +793,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(summary)
         print(f"\nreport written to {args.report}", file=sys.stderr)
-    if args.trace and outcome.tracer is not None:
+    if args.trace:
         from repro.obs.export import write_chrome_trace
 
         path = write_chrome_trace(
@@ -840,7 +849,7 @@ def cmd_endurance(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
     )
-    outcome = run_endurance(config)
+    outcome = run_endurance(config, tracer=_trace_sink(args))
     summary = render_endurance_summary(outcome)
     print(summary, end="")
     if args.report:
@@ -848,7 +857,7 @@ def cmd_endurance(args: argparse.Namespace) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(summary)
         print(f"\nreport written to {args.report}", file=sys.stderr)
-    if args.trace and outcome.tracer is not None:
+    if args.trace:
         from repro.obs.export import write_chrome_trace
 
         path = write_chrome_trace(

@@ -9,6 +9,11 @@ simulator already exposes and never touches protocol state:
   Deliveries whose send it witnessed become **queue-latency spans**
   (send → dispatch, virtual time); gossip relays that enter the network
   directly appear as delivery instants.
+* :class:`DeliveryLatency` is the lean alternative when only the
+  per-kind delivery-latency table is wanted: the same send-time map,
+  but it keeps one exact float per matched delivery instead of a
+  :class:`~repro.obs.tracer.TraceEvent` per send and delivery.  The
+  chaos and endurance drivers attach it on every run.
 * :func:`install_tracing` wires one deployment: router observer, the
   simclock callback hook (optional, high volume), and the fault
   injector's tracer slot when one is attached.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.obs.summary import KindLatency
 from repro.obs.tracer import (
     STORAGE_TRACK,
     Tracer,
@@ -39,6 +45,58 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Cap on the in-flight send-timestamp map: sends that are never
 #: delivered (drops, crashes) must not grow memory without bound.
 _PENDING_SEND_LIMIT = 100_000
+
+
+def _remember_send(
+    sent_at: dict[int, float], message_id: int, now: float
+) -> None:
+    """Stamp one send, evicting the oldest once the map is full."""
+    if len(sent_at) >= _PENDING_SEND_LIMIT:
+        sent_at.pop(next(iter(sent_at)))
+    sent_at[message_id] = now
+
+
+class DeliveryLatency:
+    """Router observer keeping exact per-kind delivery latencies.
+
+    Pairs each delivery with its witnessed send exactly as
+    :class:`TracingObserver` does (same bounded send-time map), so
+    :meth:`percentiles` equals ``summarize(tracer).latency_percentiles()``
+    for a tracer whose ring never evicted — and stays exact when it
+    would have.
+    """
+
+    def __init__(self, clock: "SimClock") -> None:
+        self._clock = clock
+        self._sent_at: dict[int, float] = {}
+        # MessageKind -> samples; a kind seen only on unmatched
+        # deliveries keeps an empty list (a count-0 row).
+        self._samples: dict = {}
+
+    def on_send(self, message: "Message") -> None:
+        """Stamp the send time of a protocol message."""
+        _remember_send(self._sent_at, message.message_id, self._clock.now)
+
+    def on_deliver(self, node: "BaseNode", message: "Message") -> None:
+        """Record ``now - send`` for the message's kind."""
+        samples = self._samples.get(message.kind)
+        if samples is None:
+            samples = self._samples[message.kind] = []
+        start = self._sent_at.pop(message.message_id, None)
+        if start is not None:
+            samples.append(self._clock.now - start)
+
+    def on_finalize(self, event: "FinalizeEvent") -> None:
+        """Finalizations carry no delivery latency."""
+
+    def percentiles(self) -> dict[str, dict[str, float]]:
+        """Per-kind ``{count, p50, p95, p99, max}``, sorted by kind."""
+        table = {}
+        for kind, samples in self._samples.items():
+            entry = KindLatency(kind=kind.value)
+            entry.fill(samples)
+            table[entry.kind] = entry.as_dict()
+        return dict(sorted(table.items()))
 
 
 class TracingObserver:
@@ -81,10 +139,7 @@ class TracingObserver:
     def on_send(self, message: "Message") -> None:
         """A node handed a protocol message to the network."""
         now = self._clock.now
-        sent_at = self._sent_at
-        if len(sent_at) >= _PENDING_SEND_LIMIT:
-            sent_at.pop(next(iter(sent_at)))
-        sent_at[message.message_id] = now
+        _remember_send(self._sent_at, message.message_id, now)
         self._tracer.instant(
             self._value_of(message.kind),
             node_track(message.sender, self._label),

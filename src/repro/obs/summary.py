@@ -53,6 +53,22 @@ class KindLatency:
     mean: float = 0.0
     max: float = 0.0
 
+    def fill(self, samples: list[float]) -> None:
+        """Set the count and distribution from raw latency samples.
+
+        Sorts ``samples`` in place; an empty list leaves the entry at
+        count 0 (a kind that was only ever delivered unmatched).
+        """
+        if not samples:
+            return
+        samples.sort()
+        self.count = len(samples)
+        self.p50 = percentile(samples, 0.50)
+        self.p95 = percentile(samples, 0.95)
+        self.p99 = percentile(samples, 0.99)
+        self.mean = sum(samples) / len(samples)
+        self.max = samples[-1]
+
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view (chaos outcomes embed these)."""
         return {
@@ -166,16 +182,7 @@ def summarize(
             summary.phases.append((event.name, event.ts, event.dur))
 
     for kind, samples in latencies.items():
-        entry = summary.kinds.setdefault(kind, KindLatency(kind=kind))
-        if not samples:
-            continue
-        samples.sort()
-        entry.count = len(samples)
-        entry.p50 = percentile(samples, 0.50)
-        entry.p95 = percentile(samples, 0.95)
-        entry.p99 = percentile(samples, 0.99)
-        entry.mean = sum(samples) / len(samples)
-        entry.max = samples[-1]
+        summary.kinds.setdefault(kind, KindLatency(kind=kind)).fill(samples)
 
     _fill_timelines(summary, events, buckets)
     summary.phases.sort(key=lambda p: (p[1], -p[2], p[0]))

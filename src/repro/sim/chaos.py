@@ -33,8 +33,7 @@ from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
-from repro.obs.hooks import install_tracing
-from repro.obs.summary import summarize
+from repro.obs.hooks import DeliveryLatency, install_tracing
 from repro.obs.tracer import Tracer
 from repro.protocols.reliability import RetryPolicy
 from repro.sim.faults import FaultConfig, FaultPlan, PartitionWindow
@@ -131,14 +130,19 @@ class ChaosOutcome:
     #: column.  Not part of :meth:`signature` — the per-kind retry/
     #: timeout/degraded counters above already pin the same stream.
     sends: dict[str, int] = field(default_factory=dict)
-    #: Per-kind delivery-latency percentiles (virtual time) from the
-    #: run's trace; quantifies degradation beyond the counters.  Not
-    #: part of :meth:`signature` — latency values are floats derived
-    #: from the same deterministic stream the counters pin.
+    #: Per-kind delivery-latency percentiles (virtual time) over every
+    #: delivery whose send was witnessed, from the run's
+    #: :class:`~repro.obs.hooks.DeliveryLatency` observer (independent
+    #: of any tracer's ring capacity); quantifies degradation beyond
+    #: the counters.  Not part of :meth:`signature` — latency values
+    #: are floats derived from the same deterministic stream the
+    #: counters pin.
     latency_percentiles: dict[str, dict[str, float]] = field(
         default_factory=dict
     )
-    #: The run's tracer (``repro chaos --trace`` exports it).
+    #: The caller-supplied tracer (``repro chaos --trace`` passes one
+    #: and exports it), or a disabled :class:`Tracer` that recorded
+    #: nothing.
     tracer: Tracer | None = field(default=None, repr=False)
 
     @property
@@ -182,6 +186,24 @@ CHAOS_QUERY_POLICY = RetryPolicy(
 )
 
 
+def _observe(
+    deployment: ICIDeployment, tracer: Tracer | None
+) -> tuple[Tracer, DeliveryLatency]:
+    """Attach the latency observer, and full tracing for a given tracer.
+
+    Without a tracer the run gets a disabled :class:`Tracer`, so its
+    phase spans cost nothing and the outcome still carries a tracer
+    object.
+    """
+    latency = DeliveryLatency(deployment.network.clock)
+    deployment.router.add_observer(latency)
+    if tracer is None:
+        tracer = Tracer(enabled=False)
+    else:
+        install_tracing(deployment, tracer)
+    return tracer, latency
+
+
 def run_chaos(
     config: ChaosConfig | None = None,
     limits: ValidationLimits = DEFAULT_LIMITS,
@@ -189,11 +211,13 @@ def run_chaos(
 ) -> ChaosOutcome:
     """Run one seeded chaos scenario end to end (see module docs).
 
-    Every run carries a tracer (a caller-supplied one, or an internal
-    default-capacity one): the delivery-latency percentiles in the
-    outcome come from its deliver spans.  Tracing is observation-only —
-    it draws no randomness and schedules nothing, so the determinism
-    signature is unchanged by it (the chaos suite pins this).
+    The delivery-latency percentiles in the outcome come from a lean
+    :class:`~repro.obs.hooks.DeliveryLatency` router observer attached
+    to every run.  A full trace is recorded only when the caller passes
+    a ``tracer``; otherwise ``outcome.tracer`` is a disabled one.  Both
+    are observation-only — they draw no randomness and schedule
+    nothing, so the determinism signature is unchanged by them (the
+    chaos and obs suites pin this).
     """
     config = config or ChaosConfig()
     ici = ICIConfig(
@@ -231,9 +255,7 @@ def run_chaos(
                 zone, deployment.nodes.keys()
             )
         )
-    if tracer is None:
-        tracer = Tracer()
-    install_tracing(deployment, tracer)
+    tracer, latency = _observe(deployment, tracer)
     outcome = ChaosOutcome(config=config, tracer=tracer)
     rng = random.Random(config.seed ^ 0xC4A05)
 
@@ -344,7 +366,7 @@ def run_chaos(
         _audit_domains(deployment, outcome, zone_killed, victims)
     outcome.virtual_seconds = deployment.network.now
     outcome.events_processed = deployment.network.clock.processed
-    outcome.latency_percentiles = summarize(tracer).latency_percentiles()
+    outcome.latency_percentiles = latency.percentiles()
     return outcome
 
 
@@ -664,11 +686,15 @@ class EnduranceOutcome:
     sends: dict[str, int] = field(default_factory=dict)
     virtual_seconds: float = 0.0
     events_processed: int = 0
-    #: Not part of :meth:`signature` (floats derived from the same
-    #: deterministic stream the counters pin) — see ChaosOutcome.
+    #: Per-kind delivery-latency percentiles from the run's
+    #: :class:`~repro.obs.hooks.DeliveryLatency` observer.  Not part of
+    #: :meth:`signature` (floats derived from the same deterministic
+    #: stream the counters pin) — see ChaosOutcome.
     latency_percentiles: dict[str, dict[str, float]] = field(
         default_factory=dict
     )
+    #: The caller-supplied tracer (``repro endurance --trace``), or a
+    #: disabled one — see ChaosOutcome.
     tracer: Tracer | None = field(default=None, repr=False)
     #: The healed deployment, for independent post-run auditing (the
     #: property suite re-derives coverage rather than trusting the
@@ -743,6 +769,11 @@ def run_endurance(
     4. **Audit** — per-cluster full-ledger integrity plus the stronger
        replica floor: every active block holds ``min(r, live)`` live
        replicas in every cluster.
+
+    Observation works as in :func:`run_chaos`: the latency table comes
+    from a :class:`~repro.obs.hooks.DeliveryLatency` observer on every
+    run, and a full trace is recorded only for a caller-supplied
+    ``tracer``.
     """
     from repro.obs.summary import percentile
     from repro.sim.churn import (
@@ -800,9 +831,7 @@ def run_endurance(
                 zone, deployment.nodes.keys()
             )
         )
-    if tracer is None:
-        tracer = Tracer()
-    install_tracing(deployment, tracer)
+    tracer, latency = _observe(deployment, tracer)
     outcome = EnduranceOutcome(config=config, tracer=tracer)
     rng = random.Random(config.seed ^ 0xE17D)
 
@@ -1018,7 +1047,7 @@ def run_endurance(
         )
     outcome.virtual_seconds = deployment.network.now
     outcome.events_processed = deployment.network.clock.processed
-    outcome.latency_percentiles = summarize(tracer).latency_percentiles()
+    outcome.latency_percentiles = latency.percentiles()
     outcome.deployment = deployment
     return outcome
 

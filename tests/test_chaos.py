@@ -138,3 +138,35 @@ class TestChaosReport:
         assert "## Fault interception" in summary
         assert "## Protocol recovery" in summary
         assert "block_body" in summary or "verify" in summary
+
+
+class TestChaosCli:
+    def test_cli_trace_exports_the_run(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.obs.export import validate_chrome_trace
+
+        trace = tmp_path / "chaos-trace.json"
+        code = main(
+            ["chaos", "--seed", "42", "--nodes", "12", "--groups", "3",
+             "--blocks", "4", "--trace", str(trace)]
+        )
+        assert code == 0  # integrity restored
+        assert "cluster integrity: restored" in capsys.readouterr().out
+        payload = json.loads(trace.read_text())
+        assert validate_chrome_trace(payload) == []
+        events = payload["traceEvents"]
+        node_threads = [
+            e
+            for e in events
+            if e["ph"] == "M"
+            and e["name"] == "thread_name"
+            and e["args"]["name"].startswith("node ")
+        ]
+        tids = [e["tid"] for e in node_threads]
+        assert len(tids) == len(set(tids))
+        # The twelve founders, plus the node that joins after heal.
+        assert set(range(12)) <= set(tids) <= set(range(13))
+        phases = {e["name"] for e in events if e.get("cat") == "phase"}
+        assert {"produce:degraded", "heal:reconcile"} <= phases

@@ -26,7 +26,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.hooks import TracingObserver
+from repro.obs import hooks
+from repro.obs.hooks import DeliveryLatency, TracingObserver
 from repro.obs.summary import TIMELINE_BUCKETS, percentile, summarize
 from repro.obs.tracer import (
     CLOCK_TRACK,
@@ -37,10 +38,17 @@ from repro.obs.tracer import (
     node_track,
     tracing,
 )
-from repro.sim.chaos import ChaosConfig, run_chaos
+from repro.net.message import Message, MessageKind
+from repro.sim.chaos import (
+    ChaosConfig,
+    EnduranceConfig,
+    run_chaos,
+    run_endurance,
+)
 from repro.sim.runner import ScenarioRunner
 
 from tests.conftest import TEST_LIMITS
+from tests.test_endurance import GOLDEN_CONFIG
 
 TRACK = ("sim", "test")
 
@@ -286,6 +294,110 @@ class TestFaultAndRetryCapture:
         for stats in outcome.latency_percentiles.values():
             assert stats["p50"] <= stats["p95"] <= stats["p99"]
             assert stats["p99"] <= stats["max"]
+
+
+def message(kind: MessageKind, message_id: int) -> Message:
+    return Message(
+        kind=kind,
+        sender=0,
+        recipient=1,
+        payload=None,
+        size_bytes=100,
+        message_id=message_id,
+    )
+
+
+class TestDeliveryLatency:
+    """The lean latency observer the chaos/endurance drivers attach."""
+
+    def test_exact_samples_and_unmatched_deliveries(self):
+        clock = SimClock()
+        observer = DeliveryLatency(clock)
+        observer.on_send(message(MessageKind.BLOCK_BODY, 1))
+        observer.on_send(message(MessageKind.BLOCK_BODY, 2))
+        clock.run_until(0.25)
+        observer.on_deliver(None, message(MessageKind.BLOCK_BODY, 1))
+        clock.run_until(1.0)
+        observer.on_deliver(None, message(MessageKind.BLOCK_BODY, 2))
+        # A relay: delivered, but its send was never witnessed.
+        observer.on_deliver(None, message(MessageKind.BLOCK_HEADER, 3))
+        assert observer.percentiles() == {
+            "block_body": {
+                "count": 2, "p50": 0.25, "p95": 1.0, "p99": 1.0, "max": 1.0
+            },
+            "block_header": {
+                "count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0
+            },
+        }
+
+    def test_send_map_is_bounded_like_the_tracing_observer(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(hooks, "_PENDING_SEND_LIMIT", 2)
+        observer = DeliveryLatency(SimClock())
+        for message_id in (1, 2, 3):
+            observer.on_send(message(MessageKind.BLOCK_BODY, message_id))
+        # The oldest send was evicted: its delivery counts as unmatched.
+        for message_id in (1, 2, 3):
+            observer.on_deliver(
+                None, message(MessageKind.BLOCK_BODY, message_id)
+            )
+        assert observer.percentiles()["block_body"]["count"] == 2
+
+
+class TestDriverLatencyTables:
+    """Chaos/endurance latency tables: one observer, traced or not."""
+
+    @pytest.fixture(scope="class")
+    def chaos_pair(self):
+        config = ChaosConfig(
+            seed=11, n_blocks=4, queries=4, drop_rate=0.3, crash_count=1
+        )
+        tracer = Tracer()
+        traced = run_chaos(config, limits=TEST_LIMITS, tracer=tracer)
+        plain = run_chaos(config, limits=TEST_LIMITS)
+        return tracer, traced, plain
+
+    @pytest.fixture(scope="class")
+    def endurance_pair(self):
+        config = EnduranceConfig(**GOLDEN_CONFIG)
+        tracer = Tracer()
+        traced = run_endurance(config, limits=TEST_LIMITS, tracer=tracer)
+        plain = run_endurance(config, limits=TEST_LIMITS)
+        return tracer, traced, plain
+
+    @pytest.fixture(params=["chaos", "endurance"])
+    def pair(self, request):
+        return request.getfixturevalue(f"{request.param}_pair")
+
+    def test_observer_table_equals_the_trace_summary(self, pair):
+        tracer, traced, _ = pair
+        assert tracer.evicted == 0
+        assert traced.latency_percentiles
+        assert (
+            traced.latency_percentiles
+            == summarize(tracer).latency_percentiles()
+        )
+
+    def test_tracing_is_observation_only(self, pair):
+        _, traced, plain = pair
+        assert plain.signature() == traced.signature()
+        assert plain.latency_percentiles == traced.latency_percentiles
+
+    def test_untraced_run_records_nothing(self, pair):
+        _, traced, plain = pair
+        assert traced.tracer.recorded > 0
+        assert isinstance(plain.tracer, Tracer)
+        assert not plain.tracer.enabled
+        assert plain.tracer.recorded == 0
+
+    def test_table_does_not_depend_on_ring_capacity(self):
+        small = Tracer(capacity=2000)
+        config = ChaosConfig(seed=42)
+        evicting = run_chaos(config, limits=TEST_LIMITS, tracer=small)
+        assert small.evicted > 0
+        default = run_chaos(config, limits=TEST_LIMITS)
+        assert evicting.latency_percentiles == default.latency_percentiles
 
 
 class TestChromeExport:
