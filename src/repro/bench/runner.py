@@ -121,7 +121,6 @@ class BenchmarkRunner:
         profile: BenchProfile,
         progress=None,
         trace_dir: Path | None = None,
-        backend=None,
     ) -> None:
         if not workloads:
             raise BenchError("no workloads to run")
@@ -129,9 +128,6 @@ class BenchmarkRunner:
         self.profile = profile
         self._progress = progress or (lambda line: None)
         self._trace_dir = trace_dir
-        # Simulation backend scoped around every workload run; None keeps
-        # the serial default (and its byte-identical baselines).
-        self._backend = backend
 
     # ------------------------------------------------------------- running
     def run(self) -> dict:
@@ -166,13 +162,13 @@ class BenchmarkRunner:
 
     def _run_workload(self, workload: BenchWorkload) -> dict:
         for _ in range(self.profile.warmup):
-            self._run_once(workload)
+            workload.run(self.profile)
         samples: list[float] = []
         reference: dict | None = None
         for rep in range(self.profile.repetitions):
             gc.collect()
             start = time.perf_counter()
-            outputs = self._run_once(workload)
+            outputs = workload.run(self.profile)
             elapsed = time.perf_counter() - start
             samples.append(elapsed)
             simulated = {
@@ -200,15 +196,6 @@ class BenchmarkRunner:
             "peak_rss_kb": _peak_rss_kb(),
             "simulated": reference or {},
         }
-
-    def _run_once(self, workload: BenchWorkload):
-        """One workload pass under the configured simulation backend."""
-        if self._backend is None:
-            return workload.run(self.profile)
-        from repro.sim.backend import backend_scope
-
-        with backend_scope(self._backend):
-            return workload.run(self.profile)
 
     def _trace_workload(self, workload: BenchWorkload) -> Path:
         """One extra untimed pass under an active tracer; exports JSON.

@@ -117,6 +117,26 @@ class ChainStore:
             current = self.header(current.prev_hash)
         yield from reversed(chain)
 
+    def backfill_headers(
+        self, header: BlockHeader, canonical: ChainStore
+    ) -> None:
+        """Index ``header`` and any ancestors this store is missing.
+
+        Headers are indexed parent-first, so a node that missed gossip
+        while partitioned cannot take a body above its last-seen height
+        (:meth:`add_body` would refuse it).  ``canonical`` supplies the
+        ancestry; a no-op when ``header`` is already indexed.
+        """
+        missing: list[BlockHeader] = []
+        current = header
+        while not self.has_header(current.block_hash):
+            missing.append(current)
+            if current.is_genesis:
+                break
+            current = canonical.header(current.prev_hash)
+        for ancestor in reversed(missing):
+            self.add_header(ancestor)
+
     # --------------------------------------------------------------- bodies
     def add_body(self, block: Block) -> bool:
         """Store a full block body; indexes the header if needed.

@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the timed reps, run each bench once under the tracer "
         "and write TRACE_<id>.json next to the results",
     )
-    _backend_args(bench)
 
     chaos = sub.add_parser(
         "chaos",
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="export the run's Chrome trace-event JSON to FILE",
     )
-    _backend_args(chaos)
 
     endurance = sub.add_parser(
         "endurance",
@@ -395,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="export the run's Chrome trace-event JSON to FILE",
     )
-    _backend_args(endurance)
 
     trace = sub.add_parser(
         "trace",
@@ -478,28 +475,9 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         default="uniform",
     )
     parser.add_argument("--seed", type=int, default=0)
-    _backend_args(parser)
-
-
-def _backend_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="simulation backend: serial single-heap (default) or "
-        "cluster-sharded event lanes",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for --backend parallel (default 2)",
-    )
 
 
 def _deploy(args: argparse.Namespace, strategy: str):
-    from repro.sim.backend import backend_scope, parse_backend
-
     scenario = Scenario(
         strategy=strategy,
         n_nodes=args.nodes,
@@ -508,11 +486,7 @@ def _deploy(args: argparse.Namespace, strategy: str):
         latency=args.latency,
         seed=args.seed,
     )
-    backend = parse_backend(
-        getattr(args, "backend", None), getattr(args, "workers", 2)
-    )
-    with backend_scope(backend):
-        return build_deployment(scenario)
+    return build_deployment(scenario)
 
 
 def _summary_rows(deployment, report) -> list[tuple]:
@@ -688,14 +662,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.output_dir
         else repo_root / "benchmarks" / "results"
     )
-    from repro.sim.backend import parse_backend
-
     runner = BenchmarkRunner(
         workloads,
         PROFILES[args.profile],
         progress=print,
         trace_dir=output_dir if args.trace else None,
-        backend=parse_backend(args.backend, args.workers),
     )
     payload = runner.run()
     json_path = runner.write(payload, output_dir)
@@ -782,8 +753,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         dht=args.dht,
         domains=args.domains,
         zones=args.zones,
-        backend=args.backend,
-        workers=args.workers,
     )
     outcome = run_chaos(config, tracer=_trace_sink(args))
     summary = render_chaos_summary(outcome)
@@ -846,8 +815,6 @@ def cmd_endurance(args: argparse.Namespace) -> int:
         dht=args.dht,
         domains=args.domains,
         zones=args.zones,
-        backend=args.backend,
-        workers=args.workers,
     )
     outcome = run_endurance(config, tracer=_trace_sink(args))
     summary = render_endurance_summary(outcome)

@@ -200,7 +200,6 @@ class ICIDeployment(StorageDeployment):
                 seed=self.config.seed,
             )
         )
-        self.refresh_shards()
 
     def _seed_genesis(self, genesis: Block) -> None:
         """Give every node the genesis header; holders get the body."""

@@ -109,25 +109,6 @@ class StorageDeployment(ABC):
         """
 
     # ------------------------------------------------------------- common
-    def refresh_shards(self) -> None:
-        """Feed cluster membership into a sharded clock's ``ShardMap``.
-
-        Deployments call this after every (re-)clustering or churn step
-        (``install_topology`` is the natural site).  On a serial clock,
-        or for deployments without a ``clusters`` table (full
-        replication), this is a no-op — unmapped nodes run in the global
-        lane, which executes in exact serial order.
-        """
-        from repro.net.shard import ShardedClock
-
-        clock = self.network.clock
-        if not isinstance(clock, ShardedClock):
-            return
-        clusters = getattr(self, "clusters", None)
-        if clusters is None:
-            return
-        clock.remap_shards(clusters)
-
     def run(self) -> None:
         """Drain all pending simulated events."""
         self.network.run()

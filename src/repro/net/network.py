@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Iterable, Protocol
 from repro.errors import UnknownNodeError
 from repro.net.latency import DEFAULT_BANDWIDTH_BPS, ConstantLatency, LatencyModel
 from repro.net.message import Message
-from repro.net.shard import ShardedClock
 from repro.net.simclock import SimClock
 from repro.net.topology import Topology
 from repro.net.traffic import TrafficLedger
@@ -49,15 +48,7 @@ class Network:
         topology: Topology | None = None,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
     ) -> None:
-        if clock is None:
-            # The active backend (if any) decides the clock flavour —
-            # that is how `--backend parallel` reaches workloads that
-            # construct their own deployments.
-            from repro.sim.backend import active_backend
-
-            backend = active_backend()
-            clock = backend.make_clock() if backend is not None else SimClock()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.latency = latency or ConstantLatency()
         self.bandwidth_bps = bandwidth_bps
         self.traffic = TrafficLedger()
@@ -68,11 +59,6 @@ class Network:
         )
         self._dropped_messages = 0
         self._faults: "FaultInjector" | None = None
-        self._shard_router: "ShardedClock" | None = (
-            clock if isinstance(clock, ShardedClock) else None
-        )
-        if self._shard_router is not None:
-            self._shard_router.bind_network(self)
 
     # ------------------------------------------------------------- registry
     def register(self, node_id: int, endpoint: Endpoint) -> None:
@@ -80,8 +66,6 @@ class Network:
         self._endpoints[node_id] = endpoint
         self._online[node_id] = True
         self._topology.setdefault(node_id, ())
-        if self._shard_router is not None:
-            self._shard_router.note_membership_change()
 
     def unregister(self, node_id: int) -> None:
         """Detach a node entirely (permanent departure)."""
@@ -89,9 +73,6 @@ class Network:
         self._online.pop(node_id, None)
         # Stale peer entries must not survive churn/departure cycles.
         self._topology.pop(node_id, None)
-        if self._shard_router is not None:
-            self._shard_router.note_membership_change()
-            self._shard_router.shard_map.remove(node_id)
 
     def set_topology(self, topology: Topology) -> None:
         """Replace the peer graph (e.g., after re-clustering)."""
@@ -126,15 +107,8 @@ class Network:
         With no injector attached the delivery path is exactly the
         original code — the fault branch in :meth:`send` never runs, so
         fault-free simulated metrics stay byte-identical.
-
-        On a sharded clock, attaching an injector collapses the lanes
-        into the serial-exact coupled schedule: fault decisions come
-        from one seeded RNG stream consumed in send order, which lane
-        reordering would change.
         """
         self._faults = injector
-        if injector is not None and self._shard_router is not None:
-            self._shard_router.set_coupled()
 
     # ------------------------------------------------------------- liveness
     def is_online(self, node_id: int) -> bool:
@@ -176,9 +150,6 @@ class Network:
             for _ in range(copies):
                 post(delay + extra_delay, self._deliver, message)
             return
-        if self._shard_router is not None:
-            self._shard_router.schedule_message(delay, self._deliver, message)
-            return
         self.clock.post(delay, self._deliver, message)
 
     def send_many(self, messages: Iterable[Message]) -> None:
@@ -201,24 +172,6 @@ class Network:
         total_delay = self.latency.total_delay
         deliver = self._deliver
         bandwidth = self.bandwidth_bps
-        router = self._shard_router
-        if router is not None:
-            schedule_message = router.schedule_message
-            for message in messages:
-                if not online.get(message.sender, False):
-                    self._dropped_messages += 1
-                    continue
-                schedule_message(
-                    total_delay(
-                        message.sender,
-                        message.recipient,
-                        message.size_bytes,
-                        bandwidth,
-                    ),
-                    deliver,
-                    message,
-                )
-            return
         post = self.clock.post
         for message in messages:
             if not online.get(message.sender, False):

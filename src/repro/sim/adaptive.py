@@ -60,8 +60,6 @@ class AdaptiveCompareConfig:
     repair_cadence: float = 5.0
     #: Optional heat-model override (``None`` = HeatConfig defaults).
     heat: "object | None" = None
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
@@ -184,7 +182,6 @@ def _drive(
     outcome: AdaptiveCompareOutcome,
 ) -> ICIDeployment:
     """One side of the comparison: produce, read in rounds, sweep."""
-    from repro.sim.backend import backend_scope, parse_backend
     from repro.sim.chaos import adaptive_floor_met
 
     ici = ICIConfig(
@@ -192,8 +189,7 @@ def _drive(
         replication=config.replication,
         limits=limits,
     )
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(config.n_nodes, config=ici)
+    deployment = ICIDeployment(config.n_nodes, config=ici)
     planner = (
         deployment.enable_adaptive_replication(config.heat)
         if adaptive

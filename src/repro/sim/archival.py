@@ -68,8 +68,6 @@ class ArchivalCompareConfig:
     heat: "object | None" = None
     #: Optional archival-code override (``None`` = ArchivalConfig 3+1).
     code: "object | None" = None
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
@@ -206,7 +204,6 @@ def _drive(
     outcome: ArchivalCompareOutcome,
 ) -> ICIDeployment:
     """One side of the comparison: produce, read in rounds, sweep."""
-    from repro.sim.backend import backend_scope, parse_backend
     from repro.sim.chaos import (
         archival_cluster_integrity,
         archival_floor_met,
@@ -217,8 +214,7 @@ def _drive(
         replication=config.replication,
         limits=limits,
     )
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(config.n_nodes, config=ici)
+    deployment = ICIDeployment(config.n_nodes, config=ici)
     planner = deployment.enable_adaptive_replication(config.heat)
     tier = (
         deployment.enable_archival_tier(config.code) if archival else None

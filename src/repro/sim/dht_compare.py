@@ -59,8 +59,6 @@ class DhtCompareConfig:
     #: The chaos leg's weather (the acceptance criterion's 10% drop).
     chaos_drop_rate: float = 0.10
     chaos_crash_count: int = 1
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if len(self.network_sizes) < 2:
@@ -166,15 +164,13 @@ def _measure_size(
 ) -> tuple[dict[str, int], ICIDeployment]:
     """Drive one size: produce, lookup both ways, admit one joiner."""
     from repro.dht.idspace import block_key
-    from repro.sim.backend import backend_scope, parse_backend
 
     ici = ICIConfig(
         n_clusters=n_nodes // config.cluster_size,
         replication=config.replication,
         limits=limits,
     )
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(n_nodes, config=ici)
+    deployment = ICIDeployment(n_nodes, config=ici)
     dht = deployment.enable_dht()
     runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
     report = runner.produce_blocks(
@@ -252,8 +248,6 @@ def run_dht_compare(
             drop_rate=config.chaos_drop_rate,
             crash_count=config.chaos_crash_count,
             dht=True,
-            backend=config.backend,
-            workers=config.workers,
         ),
         limits=limits,
     )

@@ -321,7 +321,11 @@ class ArchivalTier:
             self.stats.floor_deficits += 1
             return
         for target in targets:
-            deployment.nodes[target].assign_body(block)
+            node = deployment.nodes[target]
+            # A target that sat behind a partition may lack the headers
+            # above its last-seen height; assign_body needs the parent.
+            node.store.backfill_headers(block.header, deployment.ledger.store)
+            node.assign_body(block)
         self._forget(cluster_id, entry)
         self.stats.blocks_thawed += 1
         self._trace(

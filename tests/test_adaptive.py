@@ -27,7 +27,6 @@ from repro.storage.heat import (
     WARM,
     HeatConfig,
     HeatTracker,
-    ReplicationPlanner,
 )
 from tests.conftest import TEST_LIMITS
 
@@ -482,15 +481,27 @@ class TestAdaptiveEndurance:
         assert "## Adaptive replication" in out
         assert "## Adaptive replication" in report.read_text()
 
-    def test_cli_survives_a_departed_requesters_retry(self, capsys):
+    @pytest.mark.parametrize(
+        "tier, section",
+        [
+            ("--adaptive", "## Adaptive replication"),
+            ("--archival", "## Archival coding"),
+        ],
+        ids=["adaptive", "archival"],
+    )
+    def test_cli_survives_a_departed_requesters_retry(
+        self, tier, section, capsys
+    ):
         """Regression: in this run a read's requester leaves while its
-        retry timer is pending; the timer used to raise KeyError."""
+        retry timer is pending; the timer used to raise KeyError.  With
+        the archival tier on, a block thawed onto a member that missed
+        headers behind a partition used to raise ValidationError."""
         from repro.cli import main
 
         code = main(
             [
                 "endurance",
-                "--adaptive",
+                tier,
                 "--nodes", "16",
                 "--groups", "2",
                 "--blocks", "12",
@@ -498,7 +509,9 @@ class TestAdaptiveEndurance:
             ]
         )
         assert code == 0
-        assert "## Adaptive replication" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert section in out
+        assert "**cluster integrity: restored**" in out
 
 
 class TestBenchTagFilter:
