@@ -82,21 +82,24 @@ def short_hex(digest: Hash32, length: int = 8) -> str:
 def xor_bytes(chunks: Iterable[_BytesLike]) -> bytes:
     """XOR an iterable of equal-length byte strings (parity computation).
 
+    Each chunk is read as one little-endian integer, so the whole fold is
+    C-level big-integer XOR; ``tests/test_hashing.py`` keeps a per-byte
+    reference fold to compare against.
+
     Raises:
         ValueError: if the iterable is empty or lengths differ.
     """
-    result: bytearray | None = None
+    length: int | None = None
+    folded = 0
     for chunk in chunks:
         raw = bytes(chunk)
-        if result is None:
-            result = bytearray(raw)
-        else:
-            if len(raw) != len(result):
-                raise ValueError(
-                    f"xor_bytes requires equal lengths, got {len(result)} and {len(raw)}"
-                )
-            for i, byte in enumerate(raw):
-                result[i] ^= byte
-    if result is None:
+        if length is None:
+            length = len(raw)
+        elif len(raw) != length:
+            raise ValueError(
+                f"xor_bytes requires equal lengths, got {length} and {len(raw)}"
+            )
+        folded ^= int.from_bytes(raw, "little")
+    if length is None:
         raise ValueError("xor_bytes requires at least one chunk")
-    return bytes(result)
+    return folded.to_bytes(length, "little")

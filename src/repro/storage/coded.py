@@ -141,6 +141,10 @@ class ArchivalTier:
         self.config = config or ArchivalConfig()
         self.stats = ArchivalStats()
         self._entries: dict[tuple[int, Hash32], _ArchivedBlock] = {}
+        #: block hash -> clusters holding it coded (bounds the memo).
+        self._archived_in: dict[Hash32, int] = {}
+        #: block hash -> (raw body, Block) of the last accepted decode.
+        self._decoded: dict[Hash32, tuple[bytes, Block]] = {}
         self._chunk_bytes_by_node: dict[int, int] = {}
         self._track = proto_track("archival")
         self._tracer: "Tracer | None" = None
@@ -222,6 +226,7 @@ class ArchivalTier:
             if node is not None and node.store.has_body(block_hash):
                 freed += node.unassign_body(block_hash)
         self._entries[(cluster_id, block_hash)] = entry
+        self._archived_in[block_hash] = self._archived_in.get(block_hash, 0) + 1
         for index, holder in entry.holders.items():
             self._credit(holder, len(chunks[index]))
         self.stats.blocks_archived += 1
@@ -341,7 +346,13 @@ class ArchivalTier:
     def _forget(self, cluster_id: int, entry: _ArchivedBlock) -> None:
         for index, holder in entry.holders.items():
             self._debit(holder, len(entry.chunks[index]))
-        del self._entries[(cluster_id, entry.header.block_hash)]
+        block_hash = entry.header.block_hash
+        del self._entries[(cluster_id, block_hash)]
+        remaining = self._archived_in.pop(block_hash) - 1
+        if remaining:
+            self._archived_in[block_hash] = remaining
+        else:
+            self._decoded.pop(block_hash, None)
 
     # ------------------------------------------------------- reconstruction
     def reconstruct(
@@ -373,6 +384,18 @@ class ArchivalTier:
         return block
 
     def _decode(self, entry: _ArchivedBlock) -> Block | None:
+        """Decode one entry's body from its live chunks, or ``None``.
+
+        Every call checks the live-chunk count against ``k``, charges
+        and traces the ``k`` chunk reads, and runs :func:`rs_decode` on
+        the chunks live now.  Only parsing the body and checking its
+        Merkle commitment is memoized: when the decoded bytes equal the
+        last body accepted for this block hash (from any cluster), that
+        body's :class:`Block` is returned; otherwise
+        :func:`deserialize_body` runs again (raising ``ValidationError``
+        on a mismatch) and its result replaces the memo.  The memo entry
+        lives until the block's last archived entry is forgotten.
+        """
         alive = self._live_chunks(entry)
         k = self.config.data_chunks
         if len(alive) < k:
@@ -394,7 +417,13 @@ class ArchivalTier:
         raw = rs_decode(
             present, k, self.config.total_chunks, entry.data_length
         )
-        return deserialize_body(entry.header, raw)
+        block_hash = entry.header.block_hash
+        memo = self._decoded.get(block_hash)
+        if memo is not None and memo[0] == raw:
+            return memo[1]
+        block = deserialize_body(entry.header, raw)
+        self._decoded[block_hash] = (raw, block)
+        return block
 
     def _live_chunks(self, entry: _ArchivedBlock) -> dict[int, int]:
         deployment = self.deployment

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.chain.block import Block, build_block
 from repro.chain.chainstore import Ledger
@@ -10,6 +13,14 @@ from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_signed_transfer
 from repro.chain.validation import ValidationLimits
 from repro.crypto.keys import KeyPair
+
+# Bounded, derandomized profile for the workflow's property-fuzz smoke
+# step, selected with HYPOTHESIS_PROFILE=ci.
+settings.register_profile(
+    "ci", derandomize=True, max_examples=25, deadline=None
+)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 #: Small consensus limits so unit tests stay fast.
 TEST_LIMITS = ValidationLimits(

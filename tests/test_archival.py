@@ -16,10 +16,11 @@ import json
 
 import pytest
 
+import repro.storage.coded as coded
 from repro.chain.block import serialize_body
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.sim.runner import ScenarioRunner
 from repro.storage.coded import ArchivalConfig
 from repro.storage.heat import COLD, HeatConfig
@@ -220,6 +221,101 @@ class TestArchivalTier:
         assert deployment.enable_archival_tier() is tier
         assert deployment.replication_planner is not None
         assert deployment.archival is tier
+
+
+def assert_memo_bounded(tier) -> None:
+    """The decode memo only holds blocks some cluster still has coded."""
+    archived = {block_hash for _, block_hash in tier._entries}
+    assert set(tier._decoded) <= archived
+    assert len(tier._decoded) <= len(archived)
+
+
+class TestDecodeMemo:
+    """The decode memo skips only the parse of byte-identical output."""
+
+    def archived_pair(self):
+        """Two clusters coding the same cold blocks."""
+        deployment, tier, report = build_archival(n_nodes=10, n_clusters=2)
+        heat_one_block(deployment, report.block_hashes[-1])
+        sweep(deployment)
+        block_hash = archived_hashes(deployment, tier, report)[0]
+        assert tier.is_archived(1, block_hash)
+        return deployment, tier, block_hash
+
+    def test_every_reconstruct_reads_and_counts_chunks(self):
+        _, tier, block_hash = self.archived_pair()
+        entry = tier._entries[(0, block_hash)]
+        k = tier.config.data_chunks
+        shard = len(entry.chunks[0])
+        for calls in (1, 2):
+            before = tier.stats.chunk_bytes_read
+            assert tier.reconstruct(0, block_hash) is not None
+            assert tier.stats.reconstructions == calls
+            assert tier.stats.chunk_bytes_read - before == k * shard
+
+    def test_corrupt_data_chunk_fails_after_the_memo_is_warm(self):
+        _, tier, block_hash = self.archived_pair()
+
+        def corrupt(cluster_id):
+            entry = tier._entries[(cluster_id, block_hash)]
+            flipped = bytearray(entry.chunks[0])
+            flipped[10] ^= 0xFF
+            entry.chunks[0] = bytes(flipped)
+
+        # Cold: nothing decoded yet, deserialize_body rejects the bytes.
+        corrupt(1)
+        with pytest.raises(ValidationError):
+            tier.reconstruct(1, block_hash)
+        # Warm: a good decode of the same block must not mask the flip.
+        assert tier.reconstruct(0, block_hash) is not None
+        corrupt(0)
+        for cluster_id in (0, 1):
+            with pytest.raises(ValidationError):
+                tier.reconstruct(cluster_id, block_hash)
+
+    def test_one_parse_per_block_across_clusters(self, monkeypatch):
+        _, tier, block_hash = self.archived_pair()
+        parsed = []
+        real = coded.deserialize_body
+
+        def counting(header, raw):
+            parsed.append(header.block_hash)
+            return real(header, raw)
+
+        monkeypatch.setattr(coded, "deserialize_body", counting)
+        first = tier.reconstruct(0, block_hash)
+        second = tier.reconstruct(1, block_hash)
+        assert tier.reconstruct(0, block_hash) is first
+        assert second is first
+        assert parsed == [block_hash]
+        assert tier.stats.reconstructions == 3
+
+    def test_memo_is_dropped_with_the_last_archived_entry(self, monkeypatch):
+        deployment, tier, block_hash = self.archived_pair()
+        for cluster_id, archived_hash in list(tier._entries):
+            assert tier.reconstruct(cluster_id, archived_hash) is not None
+        assert block_hash in tier._decoded
+        assert_memo_bounded(tier)
+        real = tier._forget
+        memo_kept = []
+
+        def checked_forget(cluster_id, entry):
+            real(cluster_id, entry)
+            assert_memo_bounded(tier)
+            if entry.header.block_hash == block_hash:
+                memo_kept.append(block_hash in tier._decoded)
+
+        monkeypatch.setattr(tier, "_forget", checked_forget)
+        heat_one_block(deployment, block_hash, times=50)
+        sweep(deployment)
+        assert tier.stats.blocks_thawed >= 2
+        # Kept while the other cluster still codes the block, then gone.
+        assert memo_kept == [True, False]
+        assert not tier.is_archived(0, block_hash)
+        assert not tier.is_archived(1, block_hash)
+        assert block_hash not in tier._decoded
+        assert block_hash not in tier._archived_in
+        assert_memo_bounded(tier)
 
 
 class TestArchivalCompare:

@@ -7,14 +7,14 @@ pattern of up to ``n - k`` chunks, and the first pattern past the MDS
 bound must be rejected loudly.  ``derandomize=True`` keeps CI
 deterministic — hypothesis explores the same example set every run.
 
-A bounded ``ci`` profile is registered for the codec fuzz smoke step in
-the workflow (``HYPOTHESIS_PROFILE=ci``); the default profile matches
+The codec fuzz smoke step in the workflow runs this file under the
+bounded ``ci`` profile from ``tests/conftest.py``
+(``HYPOTHESIS_PROFILE=ci``); the default profile matches
 ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 import pytest
@@ -28,12 +28,6 @@ from repro.storage.erasure import rs_decode, rs_encode, rs_shard_length
 from repro.storage.placement import RendezvousPlacement
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
-
-settings.register_profile(
-    "ci", derandomize=True, max_examples=25, deadline=None
-)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def header_at(height: int, salt: int = 0) -> BlockHeader:

@@ -12,14 +12,12 @@ Three batteries over :mod:`repro.dht`:
   closest-first search (the pure-data model of the engine's FIND_NODE
   walk) terminates and lands on the true ``k`` nearest keys.
 
-``derandomize=True`` keeps CI deterministic; a bounded ``ci`` profile
-is registered for the workflow's smoke step (``HYPOTHESIS_PROFILE=ci``),
-matching ``tests/test_coded_properties.py``.
+``derandomize=True`` keeps CI deterministic; the workflow's smoke step
+runs this file under the bounded ``ci`` profile from
+``tests/conftest.py`` (``HYPOTHESIS_PROFILE=ci``).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +35,6 @@ from repro.dht.records import ProviderStore
 from repro.dht.routing import Contact, KBucket, RoutingTable
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
-
-settings.register_profile(
-    "ci", derandomize=True, max_examples=25, deadline=None
-)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 keys = st.integers(min_value=0, max_value=(1 << ID_BITS) - 1)
 

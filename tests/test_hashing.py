@@ -1,4 +1,9 @@
-"""Unit tests for repro.crypto.hashing."""
+"""Unit tests for repro.crypto.hashing.
+
+The ``xor_bytes`` property also runs in the workflow's codec fuzz smoke
+step under the bounded ``ci`` Hypothesis profile registered in
+``tests/conftest.py`` (``HYPOTHESIS_PROFILE=ci``).
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto import hashing
+
+
+def reference_xor_bytes(chunks):
+    """The per-byte fold ``xor_bytes`` replaced, kept as its reference."""
+    result = None
+    for chunk in chunks:
+        raw = bytes(chunk)
+        if result is None:
+            result = bytearray(raw)
+        else:
+            assert len(raw) == len(result)
+            for i, byte in enumerate(raw):
+                result[i] ^= byte
+    assert result is not None
+    return bytes(result)
+
+
+@st.composite
+def equal_length_chunks(draw):
+    """1–6 chunks of one length in 0–300, each bytes/bytearray/memoryview."""
+    length = draw(st.integers(min_value=0, max_value=300))
+    count = draw(st.integers(min_value=1, max_value=6))
+    chunks = []
+    for _ in range(count):
+        raw = draw(st.binary(min_size=length, max_size=length))
+        wrap = draw(st.sampled_from([bytes, bytearray, memoryview]))
+        chunks.append(wrap(raw))
+    return chunks
 
 
 class TestSha256:
@@ -94,3 +127,9 @@ class TestXorBytes:
     def test_xor_is_self_inverse(self, chunks):
         folded = hashing.xor_bytes(chunks)
         assert hashing.xor_bytes([folded, *chunks[1:]]) == chunks[0]
+
+    @given(equal_length_chunks())
+    def test_xor_matches_per_byte_reference(self, chunks):
+        result = hashing.xor_bytes(chunks)
+        assert type(result) is bytes
+        assert result == reference_xor_bytes(chunks)

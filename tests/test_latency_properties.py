@@ -5,14 +5,13 @@ delay once and memoizes it.  The memo must be invisible: whatever pairs
 are asked for, in whatever order, every answer equals a fresh draw from
 an RNG seeded exactly as the unmemoized model seeded it.
 
-``derandomize=True`` keeps CI deterministic; the ``ci`` profile
-(``HYPOTHESIS_PROFILE=ci``) bounds the example count, matching
-``tests/test_dht_properties.py``.
+``derandomize=True`` keeps CI deterministic; the ``ci`` profile from
+``tests/conftest.py`` (``HYPOTHESIS_PROFILE=ci``) bounds the example
+count.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 from hypothesis import given, settings
@@ -21,12 +20,6 @@ from hypothesis import strategies as st
 from repro.net.latency import UniformLatency
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
-
-settings.register_profile(
-    "ci", derandomize=True, max_examples=25, deadline=None
-)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 node_ids = st.integers(min_value=0, max_value=(1 << 20) - 1)
