@@ -14,19 +14,19 @@ from __future__ import annotations
 from benchmarks.conftest import emit, run_once
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
-from repro.sim.adaptive import AdaptiveCompareConfig, run_adaptive_compare
+from repro.sim.zipf_compare import ZipfCompareConfig, run_zipf_compare
 from repro.sim.scenario import BENCH_LIMITS
 
 #: The acceptance run: defaults (seed 42, 18 nodes / 3 clusters, r=2,
 #: 16 blocks, 150 Zipf reads over 6 convergence rounds).
-ACCEPT = AdaptiveCompareConfig()
+ACCEPT = ZipfCompareConfig()
 
 
 def test_e18_adaptive_replication(benchmark, results_dir):
     outcomes = {}
 
     def run_all():
-        outcomes["compare"] = run_adaptive_compare(ACCEPT)
+        outcomes["compare"] = run_zipf_compare(ACCEPT)
 
     run_once(benchmark, run_all)
     outcome = outcomes["compare"]
@@ -34,18 +34,18 @@ def test_e18_adaptive_replication(benchmark, results_dir):
     rows = [
         (
             "fixed r=2",
-            format_bytes(outcome.fixed_bytes),
+            format_bytes(outcome.control_bytes),
             "-",
-            f"{outcome.fixed_p95_latency * 1000:.1f} ms",
-            outcome.fixed_queries_completed,
+            f"{outcome.control_p95_latency * 1000:.1f} ms",
+            outcome.control_queries_completed,
             "-",
         ),
         (
             "adaptive",
-            format_bytes(outcome.adaptive_bytes),
+            format_bytes(outcome.treatment_bytes),
             f"{outcome.savings_fraction:.1%}",
-            f"{outcome.adaptive_p95_latency * 1000:.1f} ms",
-            outcome.adaptive_queries_completed,
+            f"{outcome.treatment_p95_latency * 1000:.1f} ms",
+            outcome.treatment_queries_completed,
             "/".join(
                 str(outcome.tier_counts.get(tier, 0))
                 for tier in ("hot", "warm", "cold")
@@ -73,8 +73,8 @@ def test_e18_adaptive_replication(benchmark, results_dir):
     # The acceptance criteria, verbatim.
     assert outcome.savings_fraction >= 0.15, outcome.savings_fraction
     assert outcome.latency_ok, (
-        outcome.adaptive_p95_latency,
-        outcome.fixed_p95_latency,
+        outcome.treatment_p95_latency,
+        outcome.control_p95_latency,
     )
     assert outcome.converged_safely
     assert outcome.adaptive_stats["floor_violations"] == 0
@@ -83,15 +83,15 @@ def test_e18_adaptive_replication(benchmark, results_dir):
 
 # ---------------------------------------------------------- perf workload
 def _bench_workload(profile):
-    config = AdaptiveCompareConfig(
+    config = ZipfCompareConfig(
         n_blocks=profile.pick(8, ACCEPT.n_blocks),
         reads=profile.pick(60, ACCEPT.reads),
         rounds=profile.pick(4, ACCEPT.rounds),
     )
-    outcome = run_adaptive_compare(config, limits=BENCH_LIMITS)
+    outcome = run_zipf_compare(config, limits=BENCH_LIMITS)
     return [
-        ("fixed", outcome.fixed_deployment),
-        ("adaptive", outcome.adaptive_deployment),
+        ("fixed", outcome.control_deployment),
+        ("adaptive", outcome.treatment_deployment),
     ]
 
 

@@ -16,19 +16,23 @@ from __future__ import annotations
 from benchmarks.conftest import emit, run_once
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
-from repro.sim.archival import ArchivalCompareConfig, run_archival_compare
+from repro.sim.zipf_compare import (
+    ARCHIVAL,
+    ZipfCompareConfig,
+    run_zipf_compare,
+)
 from repro.sim.scenario import BENCH_LIMITS
 
-#: The acceptance run: defaults (seed 42, 18 nodes / 3 clusters, r=3,
+#: The acceptance run: defaults at r=3 (seed 42, 18 nodes / 3 clusters,
 #: 16 blocks, 150 Zipf reads over 6 convergence rounds, 3+1 code).
-ACCEPT = ArchivalCompareConfig()
+ACCEPT = ZipfCompareConfig(treatment=ARCHIVAL, replication=3)
 
 
 def test_e19_archival_coding(benchmark, results_dir):
     outcomes = {}
 
     def run_all():
-        outcomes["compare"] = run_archival_compare(ACCEPT)
+        outcomes["compare"] = run_zipf_compare(ACCEPT)
 
     run_once(benchmark, run_all)
     outcome = outcomes["compare"]
@@ -37,19 +41,19 @@ def test_e19_archival_coding(benchmark, results_dir):
     rows = [
         (
             "adaptive only",
-            format_bytes(outcome.adaptive_bytes),
+            format_bytes(outcome.control_bytes),
             "-",
-            f"{outcome.adaptive_p95_latency * 1000:.1f} ms",
-            outcome.adaptive_queries_completed,
+            f"{outcome.control_p95_latency * 1000:.1f} ms",
+            outcome.control_queries_completed,
             "-",
             "-",
         ),
         (
             "adaptive + archival",
-            format_bytes(outcome.coded_bytes),
+            format_bytes(outcome.treatment_bytes),
             f"{outcome.savings_fraction:.1%}",
-            f"{outcome.coded_p95_latency * 1000:.1f} ms",
-            outcome.coded_queries_completed,
+            f"{outcome.treatment_p95_latency * 1000:.1f} ms",
+            outcome.treatment_queries_completed,
             outcome.archived_blocks,
             format_bytes(stats.get("chunk_bytes_read", 0)),
         ),
@@ -74,11 +78,11 @@ def test_e19_archival_coding(benchmark, results_dir):
     emit(results_dir, "e19_archival_coding", table)
 
     # The acceptance criteria, verbatim.
-    assert outcome.coded_bytes < outcome.adaptive_bytes
+    assert outcome.treatment_bytes < outcome.control_bytes
     assert outcome.savings_fraction >= 0.10, outcome.savings_fraction
     assert outcome.reads_ok, (
-        outcome.coded_queries_completed,
-        outcome.adaptive_queries_completed,
+        outcome.treatment_queries_completed,
+        outcome.control_queries_completed,
     )
     assert outcome.converged_safely
     assert outcome.coverage_breaches == 0
@@ -90,15 +94,17 @@ def test_e19_archival_coding(benchmark, results_dir):
 
 # ---------------------------------------------------------- perf workload
 def _bench_workload(profile):
-    config = ArchivalCompareConfig(
+    config = ZipfCompareConfig(
+        treatment=ARCHIVAL,
+        replication=ACCEPT.replication,
         n_blocks=profile.pick(8, ACCEPT.n_blocks),
         reads=profile.pick(60, ACCEPT.reads),
         rounds=profile.pick(4, ACCEPT.rounds),
     )
-    outcome = run_archival_compare(config, limits=BENCH_LIMITS)
+    outcome = run_zipf_compare(config, limits=BENCH_LIMITS)
     return [
-        ("adaptive", outcome.adaptive_deployment),
-        ("coded", outcome.coded_deployment),
+        ("adaptive", outcome.control_deployment),
+        ("coded", outcome.treatment_deployment),
     ]
 
 

@@ -732,6 +732,44 @@ def _trace_sink(args: argparse.Namespace):
     return Tracer()
 
 
+def _finish_audit_run(
+    args: argparse.Namespace, outcome, summary: str, label: str
+) -> int:
+    """Print and save a chaos/endurance summary, export its trace, and
+    return the exit status: 0 only if every audit passed.
+
+    ``integrity_restored`` is the coverage audit (plus, on endurance
+    runs, the strict replica/coded floor).  DHT runs also need every
+    post-heal lookup to resolve its block's holder record; domain runs
+    need every block's live copies to span distinct zones again.
+    """
+    print(summary, end="")
+    if args.report:
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(summary)
+        print(f"\nreport written to {args.report}", file=sys.stderr)
+    if args.trace:
+        from repro.obs.export import write_chrome_trace
+
+        path = write_chrome_trace(
+            outcome.tracer, Path(args.trace), label=label
+        )
+        print(
+            f"trace ({len(outcome.tracer)} events) written to {path}",
+            file=sys.stderr,
+        )
+    config = outcome.config
+    ok = outcome.integrity_restored
+    if config.dht:
+        ok = ok and outcome.dht.get("audit_lookups_ok") == outcome.dht.get(
+            "audit_lookups"
+        )
+    if config.domains:
+        ok = ok and bool(outcome.domains.get("diversity_met"))
+    return 0 if ok else 1
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``chaos``: one seeded fault-injection run with a markdown audit."""
     from repro.analysis.report import render_chaos_summary
@@ -755,36 +793,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         zones=args.zones,
     )
     outcome = run_chaos(config, tracer=_trace_sink(args))
-    summary = render_chaos_summary(outcome)
-    print(summary, end="")
-    if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(summary)
-        print(f"\nreport written to {args.report}", file=sys.stderr)
-    if args.trace:
-        from repro.obs.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            outcome.tracer, Path(args.trace), label="chaos"
-        )
-        print(
-            f"trace ({len(outcome.tracer)} events) written to {path}",
-            file=sys.stderr,
-        )
-    ok = outcome.integrity_restored
-    if args.dht:
-        # DHT runs additionally gate on the overlay audit: every
-        # post-heal lookup must resolve its block's holder record.
-        ok = ok and outcome.dht.get("audit_lookups_ok") == outcome.dht.get(
-            "audit_lookups"
-        )
-    if args.domains:
-        # Domain runs additionally gate on the post-heal diversity
-        # audit: every block's live copies must span distinct zones
-        # again (up to the live-zone count).
-        ok = ok and bool(outcome.domains.get("diversity_met"))
-    return 0 if ok else 1
+    return _finish_audit_run(
+        args, outcome, render_chaos_summary(outcome), "chaos"
+    )
 
 
 def cmd_endurance(args: argparse.Namespace) -> int:
@@ -817,40 +828,9 @@ def cmd_endurance(args: argparse.Namespace) -> int:
         zones=args.zones,
     )
     outcome = run_endurance(config, tracer=_trace_sink(args))
-    summary = render_endurance_summary(outcome)
-    print(summary, end="")
-    if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(summary)
-        print(f"\nreport written to {args.report}", file=sys.stderr)
-    if args.trace:
-        from repro.obs.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            outcome.tracer, Path(args.trace), label="endurance"
-        )
-        print(
-            f"trace ({len(outcome.tracer)} events) written to {path}",
-            file=sys.stderr,
-        )
-    ok = outcome.integrity_restored
-    if args.adaptive or args.archival:
-        # Adaptive and archival runs additionally gate on the
-        # tier-aware floor: a shed that left a block under-replicated —
-        # or an archived block under its coded floor — must fail the
-        # run.
-        ok = ok and outcome.replica_floor_met
-    if args.dht:
-        # DHT runs gate on the overlay audit, same as chaos --dht.
-        ok = ok and outcome.dht.get("audit_lookups_ok") == outcome.dht.get(
-            "audit_lookups"
-        )
-    if args.domains:
-        # Domain runs gate on the post-heal zone-diversity audit, same
-        # as chaos --domains.
-        ok = ok and bool(outcome.domains.get("diversity_met"))
-    return 0 if ok else 1
+    return _finish_audit_run(
+        args, outcome, render_endurance_summary(outcome), "endurance"
+    )
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:

@@ -414,12 +414,7 @@ class ICIDeployment(StorageDeployment):
         return len(common)
 
     def cluster_holds_full_ledger(self, cluster_id: int) -> bool:
-        """Intra-cluster integrity check: every active body held somewhere."""
-        members = self.clusters.members_of(cluster_id)
-        for header in self.ledger.store.iter_active_headers():
-            if not any(
-                self.nodes[m].store.has_body(header.block_hash)
-                for m in members
-            ):
-                return False
-        return True
+        """Intra-cluster integrity (:func:`repro.invariants.coverage`)."""
+        from repro.invariants import coverage
+
+        return all(v.cluster != cluster_id for v in coverage(self))

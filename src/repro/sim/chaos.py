@@ -33,6 +33,7 @@ from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
+from repro.invariants import coverage, diversity, floor
 from repro.obs.hooks import DeliveryLatency, install_tracing
 from repro.obs.tracer import Tracer
 from repro.protocols.reliability import RetryPolicy
@@ -340,10 +341,7 @@ def run_chaos(
                 outcome.queries_degraded += 1
 
     # Phase 6: audit.
-    for view in deployment.clusters.views():
-        outcome.cluster_integrity[view.cluster_id] = (
-            deployment.cluster_holds_full_ledger(view.cluster_id)
-        )
+    outcome.cluster_integrity = _integrity(deployment)
     outcome.finalized_blocks = deployment.total_finalized_blocks()
     outcome.fault_stats = injector.stats.as_dict()
     stats = deployment.metrics.router_stats
@@ -359,6 +357,15 @@ def run_chaos(
     outcome.events_processed = deployment.network.clock.processed
     outcome.latency_percentiles = latency.percentiles()
     return outcome
+
+
+def _integrity(deployment: ICIDeployment) -> dict[int, bool]:
+    """Per-cluster verdicts of :func:`repro.invariants.coverage`."""
+    broken = {violation.cluster for violation in coverage(deployment)}
+    return {
+        view.cluster_id: view.cluster_id not in broken
+        for view in deployment.clusters.views()
+    }
 
 
 def _audit_dht(
@@ -401,7 +408,7 @@ def _audit_domains(
     victims: list[int],
 ) -> None:
     """Failure-domain audit: zone census plus the post-heal diversity
-    check (see :func:`domain_diversity_met`).
+    check (see :func:`repro.invariants.diversity`).
 
     Lands on ``outcome.domains`` (signature opt-in, integer-valued so
     the fingerprint stays json-stable).  ``spread_deficit`` counts the
@@ -422,67 +429,8 @@ def _audit_domains(
             deployment.placement, "domain_spread_deficit", 0
         ),
         "diversity_repairs": deployment.repair.diversity_repairs,
-        "diversity_met": int(domain_diversity_met(deployment)),
+        "diversity_met": int(not diversity(deployment)),
     }
-
-
-def domain_diversity_met(deployment: ICIDeployment) -> bool:
-    """Does every cluster spread every block across its live zones?
-
-    The failure-domain counterpart of :func:`replica_floor_met`: per
-    cluster, every non-genesis active block's live holders must span
-    ``min(floor, live-zone count)`` distinct zones, where ``floor`` is
-    the block's replica floor (planner-aware on adaptive runs).
-    Archived blocks check their live **chunk** holders against
-    ``min(k, live-zone count)`` instead — chunk placement rides the
-    same spread-aware policy.  Genesis is exempt: it is a hardcoded
-    constant every node regenerates locally, so zone spread buys it
-    nothing.  Domain-oblivious deployments trivially pass.
-    """
-    from repro.sim.faults import live_members
-
-    domains = getattr(deployment, "domains", None)
-    if domains is None:
-        return True
-    planner = getattr(deployment, "replication_planner", None)
-    tier = getattr(deployment, "archival", None)
-    base = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        live_zone_count = len(domains.zones_of(live))
-        for header in headers:
-            if header.is_genesis:
-                continue
-            block_hash = header.block_hash
-            if tier is not None and tier.is_archived(
-                view.cluster_id, block_hash
-            ):
-                chunk_holders = tier.live_chunk_holders(
-                    view.cluster_id, block_hash
-                )
-                need = min(tier.config.data_chunks, live_zone_count)
-                if len(domains.zones_of(chunk_holders)) < need:
-                    return False
-                continue
-            target = (
-                base
-                if planner is None
-                else planner.target_for(block_hash)
-            )
-            floor = min(max(target, 1), len(live))
-            holders = [
-                member
-                for member in live
-                if deployment.nodes[member].store.has_body(block_hash)
-            ]
-            if len(domains.zones_of(holders)) < min(
-                floor, live_zone_count
-            ):
-                return False
-    return True
 
 
 def reconcile(
@@ -754,9 +702,10 @@ def run_endurance(
        bodies is the sweep's job here), then bounded sweep rounds until
        the repair counters go quiet.
     3. **Probe** — a query batch under the still-lossy link rates.
-    4. **Audit** — per-cluster full-ledger integrity plus the stronger
-       replica floor: every active block holds ``min(r, live)`` live
-       replicas in every cluster.
+    4. **Audit** — per-cluster coverage plus the stronger strict floor
+       (:mod:`repro.invariants`): every active block holds its
+       ``min(target, live)`` live replicas — or, archived, its coded
+       floor — in every cluster.
 
     Observation works as in :func:`run_chaos`: the latency table comes
     from a :class:`~repro.obs.hooks.DeliveryLatency` observer on every
@@ -974,35 +923,15 @@ def run_endurance(
                 outcome.queries_degraded += 1
 
     # Phase 4: audit.
-    for view in deployment.clusters.views():
-        if tier is not None:
-            # Archived blocks legitimately hold zero full replicas; a
-            # cluster is whole when every body is held *or* decodable
-            # from ≥ k live chunks.
-            outcome.cluster_integrity[view.cluster_id] = (
-                archival_cluster_integrity(
-                    deployment, tier, view.cluster_id
-                )
-            )
-        else:
-            outcome.cluster_integrity[view.cluster_id] = (
-                deployment.cluster_holds_full_ledger(view.cluster_id)
-            )
-    if tier is not None:
-        outcome.replica_floor_met = archival_floor_met(
-            deployment, planner, tier
-        )
+    outcome.cluster_integrity = _integrity(deployment)
+    outcome.replica_floor_met = not floor(deployment)
+    if planner is not None:
         outcome.adaptive = dict(planner.as_dict())
         outcome.adaptive["storm_reads"] = storm_reads
+    if tier is not None:
         outcome.archival = dict(tier.as_dict())
         outcome.archival["archived_blocks"] = tier.archived_blocks
         outcome.archival["chunk_bytes"] = tier.total_chunk_bytes
-    elif planner is not None:
-        outcome.replica_floor_met = adaptive_floor_met(deployment, planner)
-        outcome.adaptive = dict(planner.as_dict())
-        outcome.adaptive["storm_reads"] = storm_reads
-    else:
-        outcome.replica_floor_met = replica_floor_met(deployment)
     outcome.storage_total_bytes = deployment.storage_report().total_bytes
     if tier is not None:
         # Coded chunks live beside the replicas the report counts.
@@ -1035,135 +964,6 @@ def run_endurance(
     outcome.latency_percentiles = latency.percentiles()
     outcome.deployment = deployment
     return outcome
-
-
-def replica_floor_met(deployment: ICIDeployment) -> bool:
-    """Does every cluster hold ``min(r, live)`` live replicas of
-    every active block?
-
-    Stronger than :meth:`cluster_holds_full_ledger` (any one copy): this
-    is the invariant the anti-entropy sweep converges toward.
-    """
-    from repro.sim.faults import live_members
-
-    replication = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        floor = min(replication, len(live))
-        if floor == 0:
-            continue
-        for header in headers:
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
-            )
-            if holders < floor:
-                return False
-    return True
-
-
-def adaptive_floor_met(deployment: ICIDeployment, planner) -> bool:
-    """Tier-aware replica floor: ``min(target, live)`` copies per block.
-
-    The adaptive counterpart of :func:`replica_floor_met`: each block's
-    floor follows its heat tier (hot above ``r``, cold down to 1 —
-    never zero, so every cluster still contributes a cross-cluster
-    copy).  Genesis keeps the base floor.
-    """
-    from repro.sim.faults import live_members
-
-    base = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        for header in headers:
-            target = (
-                base
-                if header.is_genesis
-                else planner.target_for(header.block_hash)
-            )
-            floor = min(max(target, 1), len(live))
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
-            )
-            if holders < floor:
-                return False
-    return True
-
-
-def archival_cluster_integrity(
-    deployment: ICIDeployment, tier, cluster_id: int
-) -> bool:
-    """Archival-aware integrity: every body held *or* reconstructable.
-
-    The coded tier's counterpart of
-    :meth:`~repro.core.icistrategy.ICIDeployment.cluster_holds_full_
-    ledger`: an archived block contributes through ≥ ``k`` live chunks
-    instead of a full replica.
-    """
-    members = deployment.clusters.members_of(cluster_id)
-    for header in deployment.ledger.store.iter_active_headers():
-        block_hash = header.block_hash
-        if any(
-            deployment.nodes[m].store.has_body(block_hash)
-            for m in members
-        ):
-            continue
-        if tier.can_reconstruct(cluster_id, block_hash):
-            continue
-        return False
-    return True
-
-
-def archival_floor_met(
-    deployment: ICIDeployment, planner, tier
-) -> bool:
-    """Tier-aware floor with the coded invariant for archived blocks.
-
-    Archived blocks must hold the **coded floor** — at least ``k`` live
-    chunks on distinct members; everything else keeps the adaptive
-    ``min(target, live)`` replica floor of :func:`adaptive_floor_met`.
-    """
-    from repro.sim.faults import live_members
-
-    base = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        for header in headers:
-            block_hash = header.block_hash
-            if not header.is_genesis and tier.is_archived(
-                view.cluster_id, block_hash
-            ):
-                if not tier.coded_floor_ok(view.cluster_id, block_hash):
-                    return False
-                continue
-            target = (
-                base
-                if header.is_genesis
-                else planner.target_for(block_hash)
-            )
-            floor = min(max(target, 1), len(live))
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(block_hash)
-            )
-            if holders < floor:
-                return False
-    return True
 
 
 def _pick_victims(

@@ -40,6 +40,7 @@ from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
+from repro.invariants import coverage, diversity
 from repro.net.domains import FailureDomainMap
 from repro.sim.chaos import CHAOS_QUERY_POLICY
 from repro.sim.faults import FaultConfig, FaultPlan
@@ -147,63 +148,6 @@ class DomainCompareOutcome:
         }
 
 
-def _coverage_lost(deployment: ICIDeployment) -> int:
-    """Cluster/block pairs with zero live in-cluster copies right now."""
-    from repro.sim.faults import live_members
-
-    lost = 0
-    headers = [
-        header
-        for header in deployment.ledger.store.iter_active_headers()
-        if not header.is_genesis
-    ]
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        for header in headers:
-            if not any(
-                deployment.nodes[member].store.has_body(header.block_hash)
-                for member in live
-            ):
-                lost += 1
-    return lost
-
-
-def _diversity_with(
-    deployment: ICIDeployment, domains: FailureDomainMap
-) -> bool:
-    """Zone-diversity audit against an *explicit* map (fixed-``r``).
-
-    The oblivious arm has no map of its own, so both arms are judged
-    against the shared victim-resolution map — the physical topology —
-    exactly like :func:`repro.sim.chaos.domain_diversity_met` judges a
-    domain-aware deployment against its installed map.
-    """
-    from repro.sim.faults import live_members
-
-    replication = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        live_zone_count = len(domains.zones_of(live))
-        floor = min(replication, len(live))
-        need = min(floor, live_zone_count)
-        for header in headers:
-            if header.is_genesis:
-                continue
-            holders = [
-                member
-                for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
-            ]
-            if len(domains.zones_of(holders)) < need:
-                return False
-    return True
-
-
 def _run_arm(
     config: DomainCompareConfig,
     aware: bool,
@@ -246,7 +190,7 @@ def _run_arm(
     victims = list(injector.crash_domain(zone_killed))
 
     row = {
-        "blocks_lost": _coverage_lost(deployment),
+        "blocks_lost": len(coverage(deployment, live=True)),
         "reads_attempted": 0,
         "reads_completed": 0,
         "reads_failed": 0,
@@ -281,7 +225,9 @@ def _run_arm(
     repair = deployment.repair
     repair.start(cadence=config.repair_cadence)
     for sweep_round in range(config.max_heal_rounds + 1):
-        if _diversity_with(deployment, topology):
+        # Both arms are judged against the shared victim-resolution map
+        # — the physical topology — since the oblivious arm has none.
+        if not diversity(deployment, topology):
             row["rounds_to_diversity"] = sweep_round
             break
         deployment.network.clock.run_for(config.repair_cadence)

@@ -4,7 +4,7 @@ Covers the whole adaptive loop (:mod:`repro.storage.heat`): the router
 observer that accumulates access heat, the rank-quantile tier planner,
 the repair engine's shed pass and its safety floor, the Zipf read
 workload that makes heat non-uniform, and the acceptance comparison
-(:mod:`repro.sim.adaptive`) behind the ">= 15% ledger bytes at
+(:mod:`repro.sim.zipf_compare`) behind the ">= 15% ledger bytes at
 equal-or-better p95" claim.  Every scenario is seeded; the key ones are
 pinned.
 """
@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
+from repro.invariants import floor
 from repro.sim.runner import ScenarioRunner
 from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 from repro.storage.heat import (
@@ -230,8 +231,6 @@ class TestReplicationPlanner:
 
 class TestShedding:
     def test_cold_blocks_shed_to_floor_and_never_below(self):
-        from repro.sim.adaptive import shed_floor_met
-
         deployment, planner, report = build_adaptive()
         tracker = deployment.heat
         hot_block = report.block_hashes[-1]
@@ -248,7 +247,7 @@ class TestShedding:
             )
         assert planner.stats.replicas_shed > 0
         assert planner.stats.floor_violations == 0
-        assert shed_floor_met(deployment, planner)
+        assert floor(deployment, converging=True) == []
 
     def test_shedding_is_idempotent_across_sweeps(self):
         deployment, planner, report = build_adaptive()
@@ -348,48 +347,48 @@ class TestAdaptiveCompare:
         bytes than fixed-r at equal-or-better p95 query latency, with
         the replica floor and cross-cluster coverage never violated
         while placements converge."""
-        from repro.sim.adaptive import (
-            AdaptiveCompareConfig,
-            run_adaptive_compare,
+        from repro.sim.zipf_compare import (
+            ZipfCompareConfig,
+            run_zipf_compare,
         )
 
-        outcome = run_adaptive_compare(AdaptiveCompareConfig(seed=42))
+        outcome = run_zipf_compare(ZipfCompareConfig(seed=42))
         assert outcome.savings_fraction >= 0.15, outcome.signature()
         assert outcome.latency_ok, (
-            outcome.adaptive_p95_latency,
-            outcome.fixed_p95_latency,
+            outcome.treatment_p95_latency,
+            outcome.control_p95_latency,
         )
         assert outcome.converged_safely
         assert outcome.adaptive_stats["replicas_shed"] > 0
         assert outcome.adaptive_stats["sheds_blocked"] == 0
-        assert outcome.fixed_queries_completed == outcome.config.reads
+        assert outcome.control_queries_completed == outcome.config.reads
         assert (
-            outcome.adaptive_queries_completed == outcome.config.reads
+            outcome.treatment_queries_completed == outcome.config.reads
         )
 
     def test_compare_is_deterministic(self):
-        from repro.sim.adaptive import (
-            AdaptiveCompareConfig,
-            run_adaptive_compare,
+        from repro.sim.zipf_compare import (
+            ZipfCompareConfig,
+            run_zipf_compare,
         )
 
-        config = AdaptiveCompareConfig(
-            n_blocks=8, reads=60, rounds=3
-        )
+        config = ZipfCompareConfig(n_blocks=8, reads=60, rounds=3)
         assert (
-            run_adaptive_compare(config).signature()
-            == run_adaptive_compare(config).signature()
+            run_zipf_compare(config).signature()
+            == run_zipf_compare(config).signature()
         )
 
     def test_rejects_degenerate_configs(self):
-        from repro.sim.adaptive import AdaptiveCompareConfig
+        from repro.sim.zipf_compare import ZipfCompareConfig
 
         with pytest.raises(ConfigurationError):
-            AdaptiveCompareConfig(n_blocks=1)
+            ZipfCompareConfig(n_blocks=1)
         with pytest.raises(ConfigurationError):
-            AdaptiveCompareConfig(rounds=0)
+            ZipfCompareConfig(rounds=0)
         with pytest.raises(ConfigurationError):
-            AdaptiveCompareConfig(repair_cadence=0.0)
+            ZipfCompareConfig(repair_cadence=0.0)
+        with pytest.raises(ConfigurationError):
+            ZipfCompareConfig(treatment="fixed")
 
 
 class TestAdaptiveEndurance:

@@ -4,7 +4,7 @@ Covers the whole archival loop (:mod:`repro.storage.coded`): the
 cold-block transition from replicas to 3+1 Reed–Solomon chunk sets on
 distinct members, lazy reconstruction through the query failover tail,
 chunk re-homing when holders depart, thaw on re-warm, the acceptance
-comparison (:mod:`repro.sim.archival`) behind the ">= 10% stored bytes
+comparison (:mod:`repro.sim.zipf_compare`) behind the ">= 10% stored bytes
 at full read availability" claim, and the endurance audit's coded
 floor.  Every scenario is seeded; the key ones are pinned.
 """
@@ -325,43 +325,49 @@ class TestArchivalCompare:
         bytes (replicas + chunks) than adaptive-only, every query still
         completes, and no audit round finds a coverage hole or a block
         below its coded/shed floor."""
-        from repro.sim.archival import (
-            ArchivalCompareConfig,
-            run_archival_compare,
+        from repro.sim.zipf_compare import (
+            ARCHIVAL,
+            ZipfCompareConfig,
+            run_zipf_compare,
         )
 
-        outcome = run_archival_compare(ArchivalCompareConfig(seed=42))
-        assert outcome.coded_bytes < outcome.adaptive_bytes
+        outcome = run_zipf_compare(
+            ZipfCompareConfig(treatment=ARCHIVAL, replication=3, seed=42)
+        )
+        assert outcome.treatment_bytes < outcome.control_bytes
         assert outcome.savings_fraction >= 0.10, outcome.signature()
         assert outcome.reads_ok
         assert outcome.converged_safely
         assert outcome.archival_stats["blocks_archived"] > 0
         assert outcome.archival_stats["reconstructions"] > 0
         assert outcome.archival_stats["failed_reconstructions"] == 0
-        assert outcome.adaptive_queries_completed == outcome.config.reads
-        assert outcome.coded_queries_completed == outcome.config.reads
+        assert outcome.control_queries_completed == outcome.config.reads
+        assert outcome.treatment_queries_completed == outcome.config.reads
 
     def test_compare_is_deterministic(self):
-        from repro.sim.archival import (
-            ArchivalCompareConfig,
-            run_archival_compare,
+        from repro.sim.zipf_compare import (
+            ARCHIVAL,
+            ZipfCompareConfig,
+            run_zipf_compare,
         )
 
-        config = ArchivalCompareConfig(n_blocks=8, reads=60, rounds=3)
+        config = ZipfCompareConfig(
+            treatment=ARCHIVAL, replication=3, n_blocks=8, reads=60, rounds=3
+        )
         assert (
-            run_archival_compare(config).signature()
-            == run_archival_compare(config).signature()
+            run_zipf_compare(config).signature()
+            == run_zipf_compare(config).signature()
         )
 
     def test_rejects_degenerate_configs(self):
-        from repro.sim.archival import ArchivalCompareConfig
+        from repro.sim.zipf_compare import ARCHIVAL, ZipfCompareConfig
 
         with pytest.raises(ConfigurationError):
-            ArchivalCompareConfig(n_blocks=1)
+            ZipfCompareConfig(treatment=ARCHIVAL, n_blocks=1)
         with pytest.raises(ConfigurationError):
-            ArchivalCompareConfig(rounds=0)
+            ZipfCompareConfig(treatment=ARCHIVAL, rounds=0)
         with pytest.raises(ConfigurationError):
-            ArchivalCompareConfig(repair_cadence=0.0)
+            ZipfCompareConfig(treatment=ARCHIVAL, repair_cadence=0.0)
 
 
 class TestArchivalEndurance:

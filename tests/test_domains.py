@@ -23,6 +23,7 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.crypto.hashing import ZERO_HASH, sha256
 from repro.errors import ConfigurationError, FaultConfigError
+from repro.invariants import diversity
 from repro.net.domains import DomainLabel, FailureDomainMap
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -30,7 +31,6 @@ from repro.net.simclock import SimClock
 from repro.sim.chaos import (
     ChaosConfig,
     EnduranceConfig,
-    domain_diversity_met,
     run_chaos,
     run_endurance,
 )
@@ -407,7 +407,7 @@ def test_domain_diversity_met_trivially_true_without_map():
     deployment = ICIDeployment(
         8, config=ICIConfig(n_clusters=2, limits=TEST_LIMITS)
     )
-    assert domain_diversity_met(deployment)
+    assert diversity(deployment) == []
 
 
 # ----------------------------------------------------------------- E21 / pin

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -58,6 +59,43 @@ class TestDocs:
             assert f"## {exp_id} " in experiments or f"| {exp_id} |" in (
                 experiments
             ), f"{exp_id} missing in EXPERIMENTS.md"
+
+
+    def test_backticked_python_paths_resolve(self):
+        """Every backticked ``*.py`` path in the docs names a real file.
+
+        Paths may be relative to ``src/repro``, ``examples``,
+        ``benchmarks``, ``tests`` or the repo root; glob patterns such
+        as ``bench_e*.py`` are not paths and are skipped.
+        """
+        docs = [
+            REPO / "README.md",
+            REPO / "DESIGN.md",
+            REPO / "EXPERIMENTS.md",
+            *sorted((REPO / "docs").glob("*.md")),
+        ]
+        roots = [
+            REPO / "src" / "repro",
+            REPO / "examples",
+            REPO / "benchmarks",
+            REPO / "tests",
+            REPO,
+        ]
+        checked = 0
+        missing = []
+        for doc in docs:
+            text = doc.read_text(encoding="utf-8")
+            for span in re.findall(r"`([^`\n]+)`", text):
+                for token in re.split(r"\s|::", span):
+                    if not token.endswith(".py") or any(
+                        char in token for char in "*{}<>"
+                    ):
+                        continue
+                    checked += 1
+                    if not any((root / token).exists() for root in roots):
+                        missing.append(f"{doc.name}: {token}")
+        assert checked > 0
+        assert not missing, missing
 
 
 class TestCliSync:
